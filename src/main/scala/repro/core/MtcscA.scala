@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayDeque
-
 /** MTCSC-A — MTCSC-C with an adaptively re-captured speed constraint
   * (Algorithm 5).
   *
@@ -24,11 +22,13 @@ final case class MtcscA(
   override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
     val out = TimePoint.copyOf(xs)
     val state = new MtcscA.AdaptiveState(b, tau, m, beta)
-    var s = initial.s
+    val ws = new MtcscC.Workspace
+    var sc = initial
     var k = 1
     while (k < xs.length) {
-      s = state.update(xs(k - 1), xs(k), s)
-      MtcscC.step(out, xs, k, SpeedConstraint(s, initial.w))
+      val s = state.update(xs(k - 1), xs(k), sc.s)
+      if (s != sc.s) sc = SpeedConstraint(s, initial.w)
+      MtcscC.step(out, xs, k, sc, ws)
       k += 1
     }
     out
@@ -40,40 +40,75 @@ object MtcscA {
   /** Mutable Algorithm 5 state: two adjacent speed windows. Raw speeds
     * are stored (not bucket ids) so UpdateDistribution under a changed
     * constraint is a pure re-bucketing of the same values.
+    *
+    * The 2m speeds live in one ring, W1 (older) then W2, starting at
+    * `head`. Once both windows are full, each step moves one speed from
+    * W2 to W1 and the bucket counts of both windows by ±1, so a step costs
+    * O(b). The counts hold for the `s` they were bucketed under only; they
+    * are rebuilt (O(m)) when the caller's `s` differs, i.e. on the first
+    * full step and after a re-capture, which also sorts a copy of W2
+    * (O(m log m)).
     */
   final class AdaptiveState(b: Int, tau: Double, m: Int, beta: Double) {
-    private val w1 = ArrayDeque.empty[Double]
-    private val w2 = ArrayDeque.empty[Double]
+    private val ring = new Array[Double](2 * m)
+    private var filled = 0
+    private var head = 0
+    private val c1, c2 = new Array[Int](b)      // bucket counts of W1, W2
+    private var countedUnder = Double.NaN        // the s of c1/c2; NaN = never counted
+    private val p1, p2 = new Array[Double](b)   // distributions of W1, W2
+    private val sortedW2 = new Array[Double](m)
+
+    private def at(i: Int): Double = ring((head + i) % (2 * m))
 
     /** Feed the speed of (p -> k); returns the (possibly updated) s. */
     def update(p: TimePoint, k: TimePoint, s: Double): Double = {
       val dt = k.t - p.t
       if (dt <= 0) return s
       val s1 = k.dist(p) / dt
-      var out = s
-      if (w1.size < m) w1.append(s1)
-      else if (w2.size < m) w2.append(s1)
-      else {
-        if (kl(distribution(w1, b, s), distribution(w2, b, s)) > tau)
-          out = SpeedConstraint.quantile(w2.toArray, 0.95) / beta
-        val s2 = w2.removeHead()
-        w1.append(s2); w1.removeHead()
-        w2.append(s1)
-      }
+      if (filled < 2 * m) { ring(filled) = s1; filled += 1; return s }
+      if (s != countedUnder) recount(s)
+      var i = 0
+      while (i < b) { p1(i) = c1(i) / m.toDouble; p2(i) = c2(i) / m.toDouble; i += 1 }
+      val out = if (kl(p1, p2) > tau) recapture() / beta else s
+      // Slide: W1's oldest speed leaves, W2's oldest joins W1, s1 joins W2.
+      val moving = bucket(at(m), b, s)
+      c1(bucket(at(0), b, s)) -= 1
+      c1(moving) += 1
+      c2(moving) -= 1
+      c2(bucket(s1, b, s)) += 1
+      ring(head) = s1
+      head = (head + 1) % (2 * m)
       out
+    }
+
+    private def recount(s: Double): Unit = {
+      java.util.Arrays.fill(c1, 0)
+      java.util.Arrays.fill(c2, 0)
+      var i = 0
+      while (i < m) { c1(bucket(at(i), b, s)) += 1; c2(bucket(at(m + i), b, s)) += 1; i += 1 }
+      countedUnder = s
+    }
+
+    /** 95th percentile of W2, as `SpeedConstraint.quantile` gives it. */
+    private def recapture(): Double = {
+      var i = 0
+      while (i < m) { sortedW2(i) = at(m + i); i += 1 }
+      SpeedConstraint.quantileInPlace(sortedW2, 0.95)
     }
   }
 
-  /** Bucket counts: b-1 equal intervals over [0, s] plus overflow (s, inf).
-    * (Example 4.1: s = 2.2, b = 6 yields interval width 0.44.)
+  /** Bucket of speed `v`: b-1 equal intervals over [0, s] plus overflow
+    * (s, inf). (Example 4.1: s = 2.2, b = 6 yields interval width 0.44.)
     */
+  def bucket(v: Double, b: Int, s: Double): Int = {
+    val width = s / (b - 1)
+    if (v > s) b - 1 else math.min(b - 2, math.max(0, math.ceil(v / width).toInt - 1))
+  }
+
+  /** Bucket counts of `speeds` (see [[bucket]]). */
   def bucketCounts(speeds: Iterable[Double], b: Int, s: Double): Array[Int] = {
     val counts = Array.fill(b)(0)
-    val width = s / (b - 1)
-    for (v <- speeds) {
-      val idx = if (v > s) b - 1 else math.min(b - 2, math.max(0, math.ceil(v / width).toInt - 1))
-      counts(idx) += 1
-    }
+    for (v <- speeds) counts(bucket(v, b, s)) += 1
     counts
   }
 

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** MTCSC-C — online cleaning via window clustering (Algorithms 3 + 4).
   *
   * For each key point k the succeeding points inside the window are
@@ -17,9 +15,10 @@ final case class MtcscC(sc: SpeedConstraint) extends Cleaner {
 
   override def clean(xs: Array[TimePoint]): Array[TimePoint] = {
     val out = TimePoint.copyOf(xs)
+    val ws = new MtcscC.Workspace
     var k = 1
     while (k < xs.length) {
-      MtcscC.step(out, xs, k, sc)
+      MtcscC.step(out, xs, k, sc, ws)
       k += 1
     }
     out
@@ -35,6 +34,62 @@ object MtcscC {
   private final val OMIT = -2
   private final val HEAD = -1
 
+  /** Scratch arrays of one `clean` call, reused by every [[step]]: the
+    * cluster flags and cluster sizes of the current window. They grow to
+    * the widest window seen, so a step allocates nothing.
+    */
+  final class Workspace {
+    private[MtcscC] var flags = new Array[Int](16)
+    private[MtcscC] var sizes = new Array[Int](16)
+
+    private[MtcscC] def ensure(n: Int): Unit =
+      if (flags.length < n) {
+        val cap = math.max(n, 2 * flags.length)
+        flags = new Array[Int](cap)
+        sizes = new Array[Int](cap)
+      }
+  }
+
+  /** BuildCluster (Algorithm 3) over the window `xs(from until until)`,
+    * anchored on `p`: fills `f(0 until until - from)` with the flags of
+    * the window's points (relative indices) and returns the relative
+    * index of the first cluster head, or -1 when no point of the window
+    * is compatible with `p` (then no flag is meaningful).
+    */
+  private def flagPass(p: TimePoint, xs: Array[TimePoint], from: Int, until: Int,
+                       sc: SpeedConstraint, f: Array[Int]): Int = {
+    val n = until - from
+    // Lines 3-6: first point compatible with p starts the first cluster.
+    var head = 0
+    while (head < n && !sc.speedOk(p, xs(from + head))) head += 1
+    if (head == n) return -1
+    f(head) = HEAD
+    var i = head + 1
+    while (i < n) {
+      val xi = xs(from + i)
+      f(i) = OMIT
+      var j = i - 1
+      var done = false
+      while (!done && j >= head) {
+        if (sc.speedOk(xi, xs(from + j))) {
+          // Action 1 — join j's cluster; a hit on an omitted j leaves i
+          // omitted too (similar properties to a dirty point).
+          if (f(j) == HEAD) f(i) = j
+          else if (f(j) >= 0) f(i) = f(j)
+          done = true
+        } else if (j == head || f(j) >= 0) {
+          // Action 2 — try to open a new cluster, anchored on p.
+          if (sc.speedOk(p, xi)) f(i) = HEAD
+          done = true
+        } else {
+          j -= 1 // Action 3 — j is a cluster head or omitted: look further back
+        }
+      }
+      i += 1
+    }
+    head
+  }
+
   /** BuildCluster (Algorithm 3) over the succeeding points of a window.
     *
     * @param p  the last repaired point before the window (x'_{k-1})
@@ -43,53 +98,53 @@ object MtcscC {
     *           indices into `w`, first element = cluster head
     */
   def buildClusters(p: TimePoint, w: Array[TimePoint], sc: SpeedConstraint): Seq[Seq[Int]] = {
-    val n = w.length
-    if (n == 0) return Seq.empty
-    val f = Array.fill(n)(OMIT)
-    val map = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    // Lines 3-6: first point compatible with p starts the first cluster.
-    var head = -1
-    var l = 0
-    while (l < n && head < 0) {
-      if (sc.speedOk(p, w(l))) { head = l; f(l) = HEAD; map(l) = mutable.ArrayBuffer(l) }
-      else l += 1
-    }
+    val f = new Array[Int](w.length)
+    val head = flagPass(p, w, 0, w.length, sc, f)
     if (head < 0) return Seq.empty
-    var i = head + 1
+    val members = head until w.length
+    members.filter(f(_) == HEAD).map(h => h +: members.filter(f(_) == h))
+  }
+
+  /** Trend representative of the window `xs(from until until)`: the
+    * relative index of the first point of the largest cluster (the
+    * earliest-created one among equal sizes), or -1 when there is no
+    * cluster. Equals `buildClusters(p, window, sc).maxBy(_.size).head`.
+    */
+  private[core] def representative(p: TimePoint, xs: Array[TimePoint], from: Int, until: Int,
+                                   sc: SpeedConstraint, ws: Workspace): Int = {
+    val n = until - from
+    ws.ensure(n)
+    val f = ws.flags
+    val size = ws.sizes
+    val head = flagPass(p, xs, from, until, sc, f)
+    if (head < 0) return -1
+    // Heads precede their members, so a head's size is set before it grows.
+    var i = head
     while (i < n) {
-      var j = i - 1
-      var done = false
-      while (!done && j >= head) {
-        if (sc.speedOk(w(i), w(j))) {
-          // Action 1 — join j's cluster; a hit on an omitted j leaves i
-          // omitted too (similar properties to a dirty point).
-          if (f(j) == HEAD) { f(i) = j; map(j) += i }
-          else if (f(j) >= 0) { f(i) = f(j); map(f(i)) += i }
-          done = true
-        } else if (j == head || f(j) >= 0) {
-          // Action 2 — try to open a new cluster, anchored on p.
-          if (sc.speedOk(p, w(i))) { f(i) = HEAD; map(i) = mutable.ArrayBuffer(i) }
-          done = true
-        } else {
-          j -= 1 // Action 3 — j is a cluster head or omitted: look further back
-        }
-      }
+      if (f(i) == HEAD) size(i) = 1
+      else if (f(i) >= 0) size(f(i)) += 1
       i += 1
     }
-    map.values.map(_.toSeq).toSeq
+    var rep = head
+    i = head + 1
+    while (i < n) {
+      if (f(i) == HEAD && size(i) > size(rep)) rep = i
+      i += 1
+    }
+    rep
   }
 
   /** One Algorithm 4 iteration for key point k; repairs out(k) in place.
     * Factored out so MTCSC-A can reuse it with an evolving constraint.
     */
-  def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, sc: SpeedConstraint): Unit = {
+  def step(out: Array[TimePoint], xs: Array[TimePoint], k: Int, sc: SpeedConstraint,
+           ws: Workspace): Unit = {
     val n = xs.length
     var end = k + 1
     while (end < n && xs(end).t <= xs(k).t + sc.w) end += 1
-    val window = xs.slice(k + 1, end)
-    val clusters = buildClusters(out(k - 1), window, sc)
-    if (clusters.nonEmpty) {
-      val rep = k + 1 + clusters.maxBy(_.size).head // first point of largest cluster
+    val rel = representative(out(k - 1), xs, k + 1, end, sc, ws)
+    if (rel >= 0) {
+      val rep = k + 1 + rel
       if (!(sc.speedOk(out(k - 1), xs(k)) && sc.speedOk(xs(k), xs(rep)))) {
         val alpha = (xs(k).t - out(k - 1).t) / (xs(rep).t - out(k - 1).t)
         var l = 0

@@ -15,7 +15,8 @@ package repro.core
   * within `w` of two mutually-unconstrained anchors whose candidate
   * balls do not intersect, making the repair infeasible; the pure test
   * excludes that case and makes interpolation provably sound, see
-  * DESIGN.md.) Complexity O(Dn²) as in the paper.
+  * DESIGN.md.) Exact early exit in the DP, worst case O(Dn²) as in the
+  * paper (see [[MtcscG.fixList]]).
   */
 final case class MtcscG(sc: SpeedConstraint) extends Cleaner {
   override def name: String = "MTCSC-G"
@@ -28,29 +29,45 @@ final case class MtcscG(sc: SpeedConstraint) extends Cleaner {
 
 object MtcscG {
 
-  /** The paper's Algorithm 1: O(n²) longest-compatible-chain DP. Returns
+  /** The paper's Algorithm 1: the longest-compatible-chain DP. Returns
     * the sorted indices of points that must be fixed (FixList).
+    *
+    * `dp(i)` is one more than the best `dp(j)` over earlier compatible j,
+    * and `pre(i)` the smallest such j, exactly as the full O(n²) scan over
+    * all j < i gives them. The scan runs j downward from i - 1 instead and
+    * stops once `prefMax(j) + 1 < best`: no j' <= j can then reach the
+    * current best, and ties (taken with `>=`) still end on the smallest j.
+    * A point joins the chain of a recent point after O(1) checks on
+    * typical data. The worst case stays O(Dn²): a point incompatible with
+    * every earlier point (an isolated huge spike under a tight `s`) still
+    * scans back to index 0.
     */
   def fixList(xs: Array[TimePoint], sc: SpeedConstraint): Array[Int] = {
     val n = xs.length
-    val dp = Array.fill(n)(1)
-    val pre = Array.fill(n)(-1)
+    val dp = new Array[Int](n)
+    val prefMax = new Array[Int](n) // max dp(0..j)
+    val pre = new Array[Int](n)
     var maxLen = 0
     var endIdx = 0
     var i = 0
     while (i < n) {
-      var j = 0
-      while (j < i) {
-        if (sc.speedOk(xs(i), xs(j)) && dp(i) < dp(j) + 1) {
-          dp(i) = dp(j) + 1
-          pre(i) = j
+      var best = 1
+      var bestPre = -1
+      var j = i - 1
+      while (j >= 0 && prefMax(j) + 1 >= best) {
+        if (dp(j) + 1 >= best && sc.speedOk(xs(i), xs(j))) {
+          best = dp(j) + 1
+          bestPre = j
         }
-        j += 1
+        j -= 1
       }
-      if (dp(i) > maxLen) { maxLen = dp(i); endIdx = i }
+      dp(i) = best
+      pre(i) = bestPre
+      prefMax(i) = if (i == 0) best else math.max(prefMax(i - 1), best)
+      if (best > maxLen) { maxLen = best; endIdx = i }
       i += 1
     }
-    val clean = Array.fill(n)(false)
+    val clean = new Array[Boolean](n)
     var k = endIdx
     while (k >= 0) { clean(k) = true; k = pre(k) }
     (0 until n).filterNot(clean).toArray

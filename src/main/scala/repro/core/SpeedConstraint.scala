@@ -75,10 +75,13 @@ object SpeedConstraint {
   }
 
   /** Nearest-rank quantile over a non-empty sample. */
-  def quantile(sample: Array[Double], q: Double): Double = {
+  def quantile(sample: Array[Double], q: Double): Double = quantileInPlace(sample.clone(), q)
+
+  /** [[quantile]] that sorts `sample` itself rather than a copy. */
+  private[core] def quantileInPlace(sample: Array[Double], q: Double): Double = {
     require(sample.nonEmpty)
-    val sorted = sample.sorted
-    val rank = math.min(sorted.length - 1, math.max(0, math.ceil(q * sorted.length).toInt - 1))
-    sorted(rank)
+    java.util.Arrays.sort(sample)
+    val rank = math.min(sample.length - 1, math.max(0, math.ceil(q * sample.length).toInt - 1))
+    sample(rank)
   }
 }

@@ -1,8 +1,8 @@
 package repro.baselines
 
 import org.scalacheck.Gen
-import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Sampled.forAllSampled
 import repro.core.{SpeedConstraint, TimePoint}
 import repro.spark.StreamingCleaner
 
@@ -11,21 +11,13 @@ import repro.spark.StreamingCleaner
   */
 class BaselinePropertiesSpec extends AnyFunSuite {
 
-  private def forAllSampled[A](gen: Gen[A], trials: Int = 50)(check: A => Unit): Unit = {
-    var i = 0
-    while (i < trials) {
-      check(gen.pureApply(Gen.Parameters.default, Seed(i.toLong)))
-      i += 1
-    }
-  }
-
   private val uniGen: Gen[(Array[Double], Array[Double])] = for {
     n <- Gen.choose(3, 50)
     vals <- Gen.listOfN(n, Gen.choose(-20.0, 20.0))
   } yield (Array.tabulate(n)(_.toDouble), vals.toArray)
 
   test("SCREEN repairs always respect the speed band from the previous repair") {
-    forAllSampled(uniGen) { case (ts, vs) =>
+    forAllSampled(uniGen, 50) { case (ts, vs) =>
       val s = 1.5
       val out = Screen.clean1(ts, vs, s, 5.0)
       for (k <- 1 until out.length) {
@@ -36,7 +28,7 @@ class BaselinePropertiesSpec extends AnyFunSuite {
   }
 
   test("SpeedAcc repairs always respect the speed band from the previous repair") {
-    forAllSampled(uniGen) { case (ts, vs) =>
+    forAllSampled(uniGen, 50) { case (ts, vs) =>
       val s = 1.5
       val out = SpeedAcc.clean1(ts, vs, s, 0.8, 5.0)
       for (k <- 1 until out.length) {
@@ -47,7 +39,7 @@ class BaselinePropertiesSpec extends AnyFunSuite {
   }
 
   test("EWMA output is a convex combination of past observations (stays in range)") {
-    forAllSampled(uniGen) { case (ts, vs) =>
+    forAllSampled(uniGen, 50) { case (ts, vs) =>
       val pts = ts.zip(vs).map { case (t, v) => TimePoint.uni(t, v) }
       val out = Ewma(0.3).clean(pts)
       val lo = vs.min
@@ -57,14 +49,14 @@ class BaselinePropertiesSpec extends AnyFunSuite {
   }
 
   test("LsGreedy terminates and leaves values finite") {
-    forAllSampled(uniGen) { case (ts, vs) =>
+    forAllSampled(uniGen, 50) { case (ts, vs) =>
       val out = LsGreedy.clean1(ts, vs, 3.0)
       assert(out.forall(v => !v.isNaN && !v.isInfinite))
     }
   }
 
   test("HoloClean-lite never invents values outside the observed range") {
-    forAllSampled(uniGen) { case (ts, vs) =>
+    forAllSampled(uniGen, 50) { case (ts, vs) =>
       val out = HoloCleanLite.clean1(ts, vs, 1.0, 20)
       val lo = vs.min
       val hi = vs.max

@@ -1,24 +1,14 @@
 package repro.core
 
 import org.scalacheck.Gen
-import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Sampled.forAllSampled
 
 /** Property-based checks of the paper's propositions and the algorithms'
-  * guaranteed invariants over random series. Raw ScalaCheck generators
-  * are sampled with fixed seeds (the scalatest/scalacheck bridge artifact
-  * is not available offline).
+  * guaranteed invariants over random series, sampled with fixed seeds
+  * ([[repro.Sampled]]).
   */
 class PropertiesSpec extends AnyFunSuite {
-
-  /** Deterministically sample `gen` `trials` times and run the check. */
-  private def forAllSampled[A](gen: Gen[A], trials: Int = 60)(check: A => Unit): Unit = {
-    var i = 0
-    while (i < trials) {
-      check(gen.pureApply(Gen.Parameters.default, Seed(i.toLong)))
-      i += 1
-    }
-  }
 
   private val seriesGen: Gen[Array[TimePoint]] = for {
     n <- Gen.choose(2, 40)
