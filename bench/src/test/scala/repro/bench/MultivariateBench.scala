@@ -1,8 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines._
-import repro.core._
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.{Experiments, Harness}
 
@@ -13,16 +11,10 @@ class MultivariateBench extends AnyFunSuite {
 
   private val seeds = Seq(1L, 2L)
 
-  private def zoo(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] = Seq(
-    MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscUni(cfg.uniScs),
-    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)),
-    LsGreedy(), Ewma(), Rcsws(), Htd.captureFromTruth(truth, cfg.sc.w),
-    HoloCleanLite(cfg.uniScs), TranAdLite(), CaeMLite())
-
   test("Figures 8/9 shape: ILD error-rate sweep, together vs separate") {
     val truth = TimeSeriesGen.ild(20000)
     for (pattern <- Seq(ErrorInjector.Together, ErrorInjector.Separate)) {
-      val sweep = Experiments.errorRateSweep(truth, Seq(0.05, 0.10, 0.20), pattern, seeds, zoo)
+      val sweep = Experiments.errorRateSweep(truth, Seq(0.05, 0.10, 0.20), pattern, seeds, Harness.methods(_, _))
       println(Experiments.formatSweep(s"ILD error-rate sweep ($pattern)", "e", sweep))
       for (row <- sweep) {
         val by = row.rows.map(r => r.method -> r).toMap
@@ -45,8 +37,8 @@ class MultivariateBench extends AnyFunSuite {
   test("Figure 9(a) shape: high-dimensional ECG, together errors") {
     val truth = TimeSeriesGen.ecg(10000, dims = 16)
     val sweep = Experiments.errorRateSweep(truth, Seq(0.10), ErrorInjector.Together, seeds,
-      (cfg, t) => Seq(MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscUni(cfg.uniScs),
-        Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)), LsGreedy(), Ewma()))
+      (cfg, t) => Harness.methods(cfg, t).filter(c => Set("MTCSC-G", "MTCSC-L", "MTCSC-C", "MTCSC-Uni",
+        "SCREEN", "SpeedAcc", "LsGreedy", "EWMA")(c.name)))
     println(Experiments.formatSweep("ECG-16d, together, e=10%", "e", sweep))
     val by = sweep.head.rows.map(r => r.method -> r).toMap
     assert(by("MTCSC-C").rmse < by("Dirty").rmse)
@@ -59,7 +51,7 @@ class MultivariateBench extends AnyFunSuite {
   test("Figures 10/11 shape: ILD data-size sweep, both patterns") {
     for (pattern <- Seq(ErrorInjector.Together, ErrorInjector.Separate)) {
       val sweep = Experiments.dataSizeSweep(TimeSeriesGen.ild(_), Seq(5000, 10000, 20000),
-        0.10, pattern, seeds, zoo)
+        0.10, pattern, seeds, Harness.methods(_, _))
       println(Experiments.formatSweep(s"ILD data-size sweep ($pattern)", "n", sweep))
       for (row <- sweep) {
         val by = row.rows.map(r => r.method -> r).toMap
@@ -74,8 +66,8 @@ class MultivariateBench extends AnyFunSuite {
     val truth = TimeSeriesGen.tao(20000)
     for (pattern <- Seq(ErrorInjector.Together, ErrorInjector.Separate)) {
       val sweep = Experiments.errorRateSweep(truth, Seq(0.10), pattern, seeds,
-        (cfg, t) => Seq(MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc),
-          MtcscUni(cfg.uniScs), Screen(cfg.uniScs), LsGreedy(), Ewma()))
+        (cfg, t) => Harness.methods(cfg, t).filter(c => Set("MTCSC-G", "MTCSC-L", "MTCSC-C",
+          "MTCSC-Uni", "SCREEN", "LsGreedy", "EWMA")(c.name)))
       println(Experiments.formatSweep(s"TAO e=10% ($pattern)", "e", sweep))
       val by = sweep.head.rows.map(r => r.method -> r).toMap
       assert(by("MTCSC-C").rmse < by("Dirty").rmse, s"$pattern")

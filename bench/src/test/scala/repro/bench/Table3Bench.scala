@@ -1,8 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Cleaners
-import repro.eval.Experiments
+import repro.core.{SpeedConstraint, TimePoint}
+import repro.eval.{Experiments, Harness}
 
 /** Table 3 — summary of compared methods; checks the registry matches
   * the implementations that actually exist.
@@ -13,17 +13,13 @@ class Table3Bench extends AnyFunSuite {
     println("== Table 3: Summary of compared methods ==")
     println(Experiments.formatTable3())
 
-    val names = Cleaners.table3.map(_.name)
+    val names = Harness.table3.map(_.name)
     assert(names.size == 13)
     assert(names.count(_.startsWith("MTCSC")) == 4)
-    // every registry row has a live implementation producing that name
-    import repro.core._
-    import repro.baselines._
+    // every registry entry's factory builds a cleaner with that entry's name
     val sc = SpeedConstraint(1.0, 5.0)
-    val scs = Array(sc)
-    val impls = Seq[Cleaner](MtcscG(sc), MtcscL(sc), MtcscC(sc), MtcscA(sc),
-      Screen(scs), SpeedAcc(scs, Array(1.0)), LsGreedy(), Ewma(), Rcsws(),
-      Htd(scs), HoloCleanLite(scs), TranAdLite(), CaeMLite())
-    assert(impls.map(_.name).toSet == names.toSet)
+    val cfg = Harness.Config(sc, Array(sc))
+    val truth = Array.tabulate(10)(i => TimePoint.uni(i.toDouble, i.toDouble))
+    Harness.registry.foreach(m => assert(m.make(cfg, truth).name == m.name))
   }
 }

@@ -1,8 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines._
-import repro.core._
+import repro.core.{Cleaner, TimePoint}
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.{Experiments, Harness}
 
@@ -13,17 +12,14 @@ class UnivariateBench extends AnyFunSuite {
 
   private val seeds = Seq(1L, 2L, 3L)
 
-  private def zoo(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] = Seq(
-    MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc),
-    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)),
-    LsGreedy(), Ewma(), Htd.captureFromTruth(truth, cfg.sc.w),
-    HoloCleanLite(cfg.uniScs), TranAdLite(), CaeMLite())
+  private def zoo(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] =
+    Harness.methods(cfg, truth).filterNot(c => Set("MTCSC-Uni", "RCSWS")(c.name))
 
   test("Figure 5 shape: our proposals on Stock over error rates") {
     val truth = TimeSeriesGen.stock(12000)
     val sweep = Experiments.errorRateSweep(truth, Seq(0.05, 0.10, 0.15, 0.20, 0.25),
       ErrorInjector.Together, seeds,
-      (cfg, _) => Seq(MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc)))
+      (cfg, t) => Harness.methods(cfg, t).filter(c => Set("MTCSC-G", "MTCSC-L", "MTCSC-C")(c.name)))
     println(Experiments.formatSweep("Figure 5 shape: Stock, MTCSC proposals", "e", sweep))
     for (row <- sweep) {
       val by = row.rows.map(r => r.method -> r).toMap

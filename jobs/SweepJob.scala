@@ -1,7 +1,6 @@
 package repro.jobs
 
-import repro.baselines._
-import repro.core._
+import repro.core.{Cleaner, TimePoint}
 import repro.data.{ErrorInjector, TimeSeriesGen}
 import repro.eval.{Experiments, Harness}
 
@@ -13,11 +12,8 @@ import repro.eval.{Experiments, Harness}
   */
 object SweepJob {
 
-  private def zoo(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] = Seq(
-    MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc), MtcscUni(cfg.uniScs),
-    Screen(cfg.uniScs), SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)),
-    LsGreedy(), Ewma(), Htd.captureFromTruth(truth, cfg.sc.w),
-    HoloCleanLite(cfg.uniScs), TranAdLite(), CaeMLite())
+  private def zoo(cfg: Harness.Config, truth: Array[TimePoint]): Seq[Cleaner] =
+    Harness.methods(cfg, truth).filterNot(_.name == "RCSWS")
 
   def main(args: Array[String]): Unit = {
     val seeds = Seq(1L, 2L, 3L)

@@ -24,7 +24,7 @@ final case class HoloCleanLite(scs: Array[SpeedConstraint], buckets: Int = 50) e
 
 object HoloCleanLite {
   def capture(xs: Array[TimePoint], w: Double): HoloCleanLite =
-    HoloCleanLite(PerDim.captureSpeeds(xs, w))
+    HoloCleanLite(SpeedConstraint.capturePerDim(xs, w))
 
   def clean1(ts: Array[Double], vs: Array[Double], s: Double, buckets: Int): Array[Double] = {
     val n = ts.length

@@ -25,7 +25,7 @@ final case class Htd(scs: Array[SpeedConstraint]) extends Cleaner {
 object Htd {
   /** Capture constraints from labelled clean data (the unfair extra). */
   def captureFromTruth(truth: Array[TimePoint], w: Double): Htd =
-    Htd(PerDim.captureSpeeds(truth, w, percentile = 0.99))
+    Htd(SpeedConstraint.capturePerDim(truth, w, percentile = 0.99))
 
   def clean1(ts: Array[Double], vs: Array[Double], s: Double): Array[Double] = {
     val n = ts.length

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{SpeedConstraint, TimePoint}
+import repro.core.TimePoint
 
 /** Helpers shared by the univariate baselines, which the paper applies to
   * multivariate data by cleaning every dimension separately.
@@ -21,18 +21,6 @@ object PerDim {
       l += 1
     }
     out
-  }
-
-  /** Per-dimension speed constraints captured at the 95th percentile of
-    * absolute consecutive univariate speeds — how the paper's univariate
-    * competitors obtain their constraints from data.
-    */
-  def captureSpeeds(xs: Array[TimePoint], w: Double, percentile: Double = 0.95): Array[SpeedConstraint] = {
-    val d = xs(0).dim
-    Array.tabulate(d) { l =>
-      val uni = xs.map(p => TimePoint.uni(p.t, p.v(l)))
-      SpeedConstraint.capture(uni, w, percentile)
-    }
   }
 
   /** Median of a non-empty sample. */

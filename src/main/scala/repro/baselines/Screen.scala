@@ -22,7 +22,7 @@ final case class Screen(scs: Array[SpeedConstraint]) extends Cleaner {
 
 object Screen {
   def capture(xs: Array[TimePoint], w: Double): Screen =
-    Screen(PerDim.captureSpeeds(xs, w))
+    Screen(SpeedConstraint.capturePerDim(xs, w))
 
   /** One-dimensional SCREEN pass. */
   def clean1(ts: Array[Double], vs: Array[Double], s: Double, w: Double): Array[Double] = {

@@ -20,7 +20,7 @@ final case class SpeedAcc(scs: Array[SpeedConstraint], accs: Array[Double]) exte
 
 object SpeedAcc {
   def capture(xs: Array[TimePoint], w: Double): SpeedAcc = {
-    val scs = PerDim.captureSpeeds(xs, w)
+    val scs = SpeedConstraint.capturePerDim(xs, w)
     val d = xs(0).dim
     val accs = Array.tabulate(d) { l =>
       val a = Array.newBuilder[Double]

@@ -25,16 +25,9 @@ final case class MtcscUni(scs: Array[SpeedConstraint]) extends Cleaner {
 }
 
 object MtcscUni {
-  /** Capture a per-dimension constraint from the data (95th percentile of
-    * per-dimension absolute consecutive speeds) — matches how the paper's
-    * univariate competitors obtain their constraints.
+  /** Capture one constraint per dimension from the data
+    * ([[SpeedConstraint.capturePerDim]]), as the univariate competitors do.
     */
-  def capture(xs: Array[TimePoint], w: Double, percentile: Double = 0.95): MtcscUni = {
-    val d = xs(0).dim
-    val scs = Array.tabulate(d) { l =>
-      val uni = xs.map(p => TimePoint.uni(p.t, p.v(l)))
-      SpeedConstraint.capture(uni, w, percentile)
-    }
-    MtcscUni(scs)
-  }
+  def capture(xs: Array[TimePoint], w: Double, percentile: Double = 0.95): MtcscUni =
+    MtcscUni(SpeedConstraint.capturePerDim(xs, w, percentile))
 }

@@ -56,19 +56,34 @@ object SpeedConstraint {
   /** Capture `s` from data as the p-th percentile of consecutive-pair
     * Euclidean speeds — the paper's "95% confidence level" heuristic [23].
     */
-  def capture(xs: Array[TimePoint], w: Double, percentile: Double = 0.95): SpeedConstraint = {
-    val speeds = consecutiveSpeeds(xs)
+  def capture(xs: Array[TimePoint], w: Double, percentile: Double = 0.95): SpeedConstraint =
+    fromSpeeds(consecutiveSpeeds(xs), w, percentile)
+
+  /** One constraint per dimension, each captured like [[capture]] from
+    * that dimension's own speeds ([[dimensionSpeeds]]) — how MTCSC-Uni
+    * and the univariate competitors obtain their constraints from data.
+    */
+  def capturePerDim(xs: Array[TimePoint], w: Double, percentile: Double = 0.95): Array[SpeedConstraint] =
+    Array.tabulate(xs(0).dim)(l => fromSpeeds(dimensionSpeeds(xs, l), w, percentile))
+
+  private def fromSpeeds(speeds: Array[Double], w: Double, percentile: Double): SpeedConstraint = {
     require(speeds.nonEmpty, "need at least two points to capture a speed constraint")
     SpeedConstraint(math.max(quantile(speeds, percentile), 1e-9), w)
   }
 
   /** Euclidean speeds between consecutive observations. */
-  def consecutiveSpeeds(xs: Array[TimePoint]): Array[Double] = {
+  def consecutiveSpeeds(xs: Array[TimePoint]): Array[Double] = speeds(xs)(_.dist(_))
+
+  /** Absolute speeds of dimension `l` alone between consecutive observations. */
+  def dimensionSpeeds(xs: Array[TimePoint], l: Int): Array[Double] =
+    speeds(xs)((a, b) => math.abs(a.v(l) - b.v(l)))
+
+  private def speeds(xs: Array[TimePoint])(dist: (TimePoint, TimePoint) => Double): Array[Double] = {
     val out = Array.newBuilder[Double]
     var i = 1
     while (i < xs.length) {
       val dt = xs(i).t - xs(i - 1).t
-      if (dt > 0) out += xs(i).dist(xs(i - 1)) / dt
+      if (dt > 0) out += dist(xs(i), xs(i - 1)) / dt
       i += 1
     }
     out.result()

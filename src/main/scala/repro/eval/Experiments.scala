@@ -45,7 +45,7 @@ object Experiments {
 
   def formatTable3(): String =
     (f"${"Algorithm"}%-12s ${"Dimension"}%-14s ${"Process"}%-8s ${"Type"}%-26s" +:
-      Cleaners.table3.map(m => f"${m.name}%-12s ${m.dimension}%-14s ${m.process}%-8s ${m.kind}%-26s"))
+      Harness.table3.map(m => f"${m.name}%-12s ${m.dimension}%-14s ${m.process}%-8s ${m.kind}%-26s"))
       .mkString("\n")
 
   // ------------------------------------------------------------- Table 4
@@ -132,7 +132,8 @@ object Experiments {
       val cfg = Harness.configFrom(truth, w = 5.0)
       val perSeed = seeds.map { seed =>
         val dirty = ErrorInjector.inject(truth, rate, ErrorInjector.Together, seed)
-        runLocal(Seq(MtcscG(cfg.sc), MtcscL(cfg.sc), MtcscC(cfg.sc)), dirty, truth)
+        val proposals = Harness.methods(cfg, truth).filter(c => Set("MTCSC-G", "MTCSC-L", "MTCSC-C")(c.name))
+        runLocal(proposals, dirty, truth)
       }
       SweepRow(d.toDouble, averageRows(perSeed))
     }

@@ -27,7 +27,6 @@ object Harness {
   final case class Config(
       sc: SpeedConstraint,                 // multivariate constraint (MTCSC-*)
       uniScs: Array[SpeedConstraint],      // per-dimension constraints (univariate methods)
-      adaptive: Option[MtcscA] = None,     // preconfigured MTCSC-A if wanted
   )
 
   /** Expert-style constraint capture: percentile of the reference
@@ -39,37 +38,52 @@ object Harness {
                  percentile: Double = 0.99, slack: Double = 1.15): Config = {
     val s = SpeedConstraint.quantile(SpeedConstraint.consecutiveSpeeds(reference), percentile) * slack
     val sc = SpeedConstraint(math.max(s, 1e-9), w)
-    val d = reference(0).dim
-    val uniScs = Array.tabulate(d) { l =>
-      val uni = reference.map(p => TimePoint.uni(p.t, p.v(l)))
-      val su = SpeedConstraint.quantile(SpeedConstraint.consecutiveSpeeds(uni), percentile) * slack
+    val uniScs = Array.tabulate(reference(0).dim) { l =>
+      val su = SpeedConstraint.quantile(SpeedConstraint.dimensionSpeeds(reference, l), percentile) * slack
       SpeedConstraint(math.max(su, 1e-9), w)
     }
     Config(sc, uniScs)
   }
 
-  /** The standard method zoo for a comparison table. `truth` is needed
-    * only by HTD's labelled capture.
+  /** One compared method: its Table 3 row (dimension / process / type)
+    * and a factory from an experiment's constraints to a cleaner. `truth`
+    * is used only by HTD's labelled capture. MTCSC-Uni is compared
+    * throughout but left out of the paper's Table 3 (`inTable3 = false`).
+    */
+  final case class Method(name: String, dimension: String, process: String, kind: String,
+                          make: (Config, Array[TimePoint]) => Cleaner, inTable3: Boolean = true)
+
+  /** The method registry: every compared method, in table order. */
+  val registry: Seq[Method] = Seq(
+    Method("MTCSC-G",   "multivariate", "batch",  "constraint",               (c, _) => MtcscG(c.sc)),
+    Method("MTCSC-L",   "multivariate", "online", "constraint",               (c, _) => MtcscL(c.sc)),
+    Method("MTCSC-C",   "multivariate", "online", "constraint + statistical", (c, _) => MtcscC(c.sc)),
+    Method("MTCSC-A",   "multivariate", "online", "constraint + statistical", (c, _) => MtcscA(c.sc)),
+    Method("MTCSC-Uni", "univariate",   "online", "constraint + statistical", (c, _) => MtcscUni(c.uniScs), inTable3 = false),
+    Method("SCREEN",    "univariate",   "online", "constraint",               (c, _) => Screen(c.uniScs)),
+    // SpeedAcc's acceleration cap: symmetric, twice each speed limit
+    Method("SpeedAcc",  "univariate",   "online", "constraint",               (c, _) => SpeedAcc(c.uniScs, c.uniScs.map(_.s * 2))),
+    Method("LsGreedy",  "univariate",   "online", "statistical",              (_, _) => LsGreedy()),
+    Method("EWMA",      "univariate",   "online", "smoothing",                (_, _) => Ewma()),
+    Method("RCSWS",     "multivariate", "online", "constraint + statistical", (_, _) => Rcsws()),
+    Method("HTD",       "multivariate", "batch",  "constraint",               (c, truth) => Htd.captureFromTruth(truth, c.sc.w)),
+    Method("HoloClean", "multivariate", "batch",  "machine learning",         (c, _) => HoloCleanLite(c.uniScs)),
+    Method("TranAD",    "multivariate", "online", "deep learning",            (_, _) => TranAdLite()),
+    Method("CAE-M",     "multivariate", "online", "deep learning",            (_, _) => CaeMLite()),
+  )
+
+  /** The paper's Table 3 (dimension / process / type of each method). */
+  val table3: Seq[Method] = registry.filter(_.inTable3)
+
+  /** The standard method zoo for a comparison table: every registry
+    * entry, MTCSC-G unless `includeG` is false, MTCSC-A only if
+    * `includeAdaptive`.
     */
   def methods(cfg: Config, truth: Array[TimePoint], includeG: Boolean = true,
-              includeAdaptive: Boolean = false): Seq[Cleaner] = {
-    val base = Seq.newBuilder[Cleaner]
-    if (includeG) base += MtcscG(cfg.sc)
-    base += MtcscL(cfg.sc)
-    base += MtcscC(cfg.sc)
-    if (includeAdaptive) base += cfg.adaptive.getOrElse(MtcscA(cfg.sc))
-    base += MtcscUni(cfg.uniScs)
-    base += Screen(cfg.uniScs)
-    base += SpeedAcc(cfg.uniScs, cfg.uniScs.map(_.s * 2)) // symmetric accel cap
-    base += LsGreedy()
-    base += Ewma()
-    base += Rcsws()
-    base += Htd.captureFromTruth(truth, cfg.sc.w)
-    base += HoloCleanLite(cfg.uniScs)
-    base += TranAdLite()
-    base += CaeMLite()
-    base.result()
-  }
+              includeAdaptive: Boolean = false): Seq[Cleaner] =
+    registry
+      .filter(m => (includeG || m.name != "MTCSC-G") && (includeAdaptive || m.name != "MTCSC-A"))
+      .map(_.make(cfg, truth))
 
   /** Clean one series with one method through the Spark path and score it. */
   def run(spark: SparkSession, cleaner: Cleaner,

@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{Dataset, Encoders}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{SeriesRow, SpeedConstraint, TimePoint}
+import repro.core.{MtcscL, SeriesRow, SpeedConstraint, TimePoint}
 
 /** Structured Streaming execution of MTCSC-L (Algorithm 2): a stateful
   * per-series operator that emits each point's repair as soon as it is
@@ -20,8 +20,10 @@ object StreamingCleaner {
   /** Streaming operator state (encoded with a product encoder). */
   final case class LState(prev: Option[SeriesRow], pending: Seq[SeriesRow])
 
-  /** Decide as many pending points as possible; pure so the batch path,
-    * the streaming path, and tests share the exact semantics.
+  /** Decide as many pending points as possible with the one Algorithm 2
+    * loop ([[repro.core.MtcscL.run]]) on a copy of `prev ++ pending`, so
+    * the batch path, the streaming path and tests share the exact
+    * semantics and the given points are never changed.
     *
     * @return (emitted repairs, new prev, remaining pending)
     */
@@ -31,38 +33,11 @@ object StreamingCleaner {
       pending0: Vector[TimePoint],
       endOfStream: Boolean,
   ): (Vector[TimePoint], Option[TimePoint], Vector[TimePoint]) = {
-    var prev = prev0
-    var pending = pending0
-    val emitted = Vector.newBuilder[TimePoint]
-    var progress = true
-    while (progress && pending.nonEmpty) {
-      val h = pending.head
-      prev match {
-        case None =>
-          emitted += h; prev = Some(h); pending = pending.tail
-        case Some(p) =>
-          if (sc.speedOk(h, p)) {
-            emitted += h; prev = Some(h); pending = pending.tail
-          } else {
-            val rest = pending.tail
-            val within = rest.takeWhile(_.t <= h.t + sc.w)
-            within.find(q => sc.speedOk(q, p)) match {
-              case Some(q) =>
-                val alpha = (h.t - p.t) / (q.t - p.t)
-                val v = Array.tabulate(h.dim)(l => alpha * (q.v(l) - p.v(l)) + p.v(l))
-                val repaired = TimePoint(h.t, v)
-                emitted += repaired; prev = Some(repaired); pending = rest
-              case None =>
-                val windowClosed = rest.length > within.length || endOfStream
-                if (windowClosed) {
-                  val repaired = TimePoint(h.t, p.v.clone())
-                  emitted += repaired; prev = Some(repaired); pending = rest
-                } else progress = false // wait for more data
-            }
-          }
-      }
-    }
-    (emitted.result(), prev, pending)
+    val xs = TimePoint.copyOf((prev0 ++ pending0).toArray)
+    val decided = MtcscL.run(xs, sc, closed = endOfStream)
+    val from = prev0.size
+    val emitted = xs.slice(from, decided).toVector
+    (emitted, emitted.lastOption.orElse(prev0), pending0.drop(emitted.length))
   }
 
   private def toPoint(r: SeriesRow): TimePoint = TimePoint(r.t, r.dims.toArray)

@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Sampled.forAllSampled
-import repro.core.{SpeedConstraint, TimePoint}
+import repro.core.{MtcscL, SpeedConstraint, TimePoint}
 import repro.spark.StreamingCleaner
 
 /** Property-style checks for the baselines and the streaming decision
@@ -76,18 +76,27 @@ class BaselinePropertiesSpec extends AnyFunSuite {
       TimePoint(i.toDouble, v.toArray)
     }.toVector, SpeedConstraint(s, w.toDouble), chunk)
     forAllSampled(gen, 60) { case (pts, sc, chunk) =>
+      val before = pts.map(_.v.clone())
       val whole = StreamingCleaner.advance(sc, None, pts, endOfStream = true)._1
+      // the one-shot replay is batch MTCSC-L, bit for bit
+      val batch = MtcscL(sc).clean(pts.toArray)
+      assert(whole.length == batch.length)
+      whole.indices.foreach { i =>
+        assert(whole(i).t == batch(i).t && java.util.Arrays.equals(whole(i).v, batch(i).v), s"batch point $i")
+      }
       var prev: Option[TimePoint] = None
       var pending = Vector.empty[TimePoint]
       val emitted = Vector.newBuilder[TimePoint]
-      pts.grouped(chunk).foreach { batch =>
-        val (e, p, rest) = StreamingCleaner.advance(sc, prev, pending ++ batch, endOfStream = false)
+      pts.grouped(chunk).foreach { chunkPts =>
+        val (e, p, rest) = StreamingCleaner.advance(sc, prev, pending ++ chunkPts, endOfStream = false)
         emitted ++= e; prev = p; pending = rest
       }
       emitted ++= StreamingCleaner.advance(sc, prev, pending, endOfStream = true)._1
       val all = emitted.result()
       assert(all.length == whole.length)
       all.indices.foreach(i => assert(all(i).sameValues(whole(i), 1e-9), s"point $i"))
+      // no advance call changed the values of the points it was given
+      pts.indices.foreach(i => assert(java.util.Arrays.equals(pts(i).v, before(i)), s"input $i mutated"))
     }
   }
 }
